@@ -73,20 +73,20 @@ bench:
 # bench-adapt regenerates the committed adaptive-controller benchmark
 # snapshot from the full-scale X9 sweep (adaptive vs the fixed grid).
 bench-adapt:
-	$(GO) run ./cmd/hmrepro -adapt -bench-adapt BENCH_adapt.json
+	$(GO) run ./cmd/hmrepro -only x9 -bench BENCH_adapt.json
 
 # bench-evict regenerates the committed eviction-policy benchmark
 # snapshot from the full-scale X10 comparison (DeclOrder vs LRU vs
 # Lookahead, plus the adaptive mid-run working-set shift).
 bench-evict:
-	$(GO) run ./cmd/hmrepro -evict -bench-evict BENCH_evict.json
+	$(GO) run ./cmd/hmrepro -only x10 -bench BENCH_evict.json
 
 # bench-trace regenerates the committed trace/replay benchmark snapshot
 # from the full-scale X11 validation: replay fidelity on the Fig 8
 # overflow capture, capture overhead vs an untraced run, and what-if
 # policy deltas vs real runs.
 bench-trace:
-	$(GO) run ./cmd/hmrepro -replay -bench-trace BENCH_trace.json
+	$(GO) run ./cmd/hmrepro -only x11 -bench BENCH_trace.json
 
 # bench-engine regenerates the committed engine hot-path snapshot from
 # X12: scheduler throughput at 10k/100k/1M tasks (vs the recorded
@@ -95,7 +95,7 @@ bench-trace:
 # byte_identical bit and the speedup order of magnitude are the stable
 # signals.
 bench-engine:
-	$(GO) run ./cmd/hmrepro -engine -bench-engine BENCH_engine.json
+	$(GO) run ./cmd/hmrepro -only x12 -bench BENCH_engine.json
 
 # bench-serve regenerates the committed multi-tenant service snapshot
 # from the full-scale X13 figure: session makespan percentiles + Jain's
@@ -104,7 +104,7 @@ bench-engine:
 # on/off). Fully virtual-time: two consecutive runs are byte-identical,
 # and a failed isolation gate exits nonzero.
 bench-serve:
-	$(GO) run ./cmd/hmrepro -serve -bench-serve BENCH_serve.json
+	$(GO) run ./cmd/hmrepro -only x13 -bench BENCH_serve.json
 
 # bench-tiers regenerates the committed memory-chain depth snapshot
 # from the full-scale X14 sweep: the Fig 8 stencil and Fig 9 matmul
@@ -113,7 +113,7 @@ bench-serve:
 # consecutive runs are byte-identical, and a failed widening-advantage
 # gate exits nonzero.
 bench-tiers:
-	$(GO) run ./cmd/hmrepro -tiers -bench-tiers BENCH_tiers.json
+	$(GO) run ./cmd/hmrepro -only x14 -bench BENCH_tiers.json
 
 # bench-tune regenerates the committed closed-loop tuning snapshot from
 # the full-scale X15 figure: the offline autotuner's verdict over a
@@ -123,7 +123,7 @@ bench-tiers:
 # not strictly faster somewhere, or a non-lookahead verdict) exits
 # nonzero.
 bench-tune:
-	$(GO) run ./cmd/hmrepro -tune -bench-tune BENCH_tune.json
+	$(GO) run ./cmd/hmrepro -only x15 -bench BENCH_tune.json
 
 # bench-check guards the committed deterministic snapshots against
 # drift: regenerate each into a temp file and fail on any byte
@@ -133,12 +133,12 @@ bench-tune:
 # small-scale sweep separately).
 bench-check:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) run ./cmd/hmrepro -adapt -bench-adapt $$tmp/BENCH_adapt.json >/dev/null; \
-	$(GO) run ./cmd/hmrepro -evict -bench-evict $$tmp/BENCH_evict.json >/dev/null; \
-	$(GO) run ./cmd/hmrepro -replay -bench-trace $$tmp/BENCH_trace.json >/dev/null; \
-	$(GO) run ./cmd/hmrepro -serve -bench-serve $$tmp/BENCH_serve.json >/dev/null; \
-	$(GO) run ./cmd/hmrepro -tiers -bench-tiers $$tmp/BENCH_tiers.json >/dev/null; \
-	$(GO) run ./cmd/hmrepro -tune -bench-tune $$tmp/BENCH_tune.json >/dev/null; \
+	$(GO) run ./cmd/hmrepro -only x9 -bench $$tmp/BENCH_adapt.json >/dev/null; \
+	$(GO) run ./cmd/hmrepro -only x10 -bench $$tmp/BENCH_evict.json >/dev/null; \
+	$(GO) run ./cmd/hmrepro -only x11 -bench $$tmp/BENCH_trace.json >/dev/null; \
+	$(GO) run ./cmd/hmrepro -only x13 -bench $$tmp/BENCH_serve.json >/dev/null; \
+	$(GO) run ./cmd/hmrepro -only x14 -bench $$tmp/BENCH_tiers.json >/dev/null; \
+	$(GO) run ./cmd/hmrepro -only x15 -bench $$tmp/BENCH_tune.json >/dev/null; \
 	rc=0; \
 	for f in BENCH_adapt.json BENCH_evict.json BENCH_trace.json BENCH_serve.json BENCH_tiers.json BENCH_tune.json; do \
 		if ! cmp -s "$$f" "$$tmp/$$f"; then echo "bench-check: $$f drifted from a fresh run"; rc=1; fi; \

@@ -7,20 +7,22 @@ import (
 	"github.com/hetmem/hetmem/internal/sim"
 )
 
-// runParallelStencil builds a fresh parallel cluster and runs the
+// runParallelStencil builds a fresh cluster and runs the
 // distributed stencil, returning the run signature.
 func runParallelStencil(t *testing.T, nodes int, mode core.Mode, parallel bool) string {
 	t.Helper()
-	pc, err := NewParallel(smallClusterCfg(nodes, mode), parallel)
+	cfg := smallClusterCfg(nodes, mode)
+	cfg.Parallel = parallel
+	c, err := New(cfg)
 	if err != nil {
-		t.Fatalf("NewParallel: %v", err)
+		t.Fatalf("New: %v", err)
 	}
-	defer pc.Close()
-	res, err := RunStencilParallel(pc, StencilConfig{PerNode: perNodeStencil(), Nodes: nodes})
+	defer c.Close()
+	res, err := RunStencil(c, StencilConfig{PerNode: perNodeStencil(), Nodes: nodes})
 	if err != nil {
-		t.Fatalf("RunStencilParallel(%d nodes, parallel=%v): %v", nodes, parallel, err)
+		t.Fatalf("RunStencil(%d nodes, parallel=%v): %v", nodes, parallel, err)
 	}
-	return pc.Signature(res)
+	return c.Signature(res)
 }
 
 // TestParallelMatchesSerial is the acceptance gate for the conservative
@@ -56,54 +58,57 @@ func TestParallelRepeatStable(t *testing.T) {
 // serialisation.
 func TestParallelSendTiming(t *testing.T) {
 	cfg := smallClusterCfg(2, core.Baseline)
-	pc, err := NewParallel(cfg, false)
+	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pc.Close()
+	defer c.Close()
 	const bytes = 12.5e9 // one second of egress at the default NIC
 	var arrived sim.Time
-	pc.Nodes[0].Eng.Schedule(0, func() {
-		pc.Send(0, 1, bytes, func() {
-			arrived = pc.Nodes[1].Eng.Now()
+	c.Nodes[0].Eng.Schedule(0, func() {
+		c.Send(0, 1, bytes, func() {
+			arrived = c.Nodes[1].Eng.Now()
 		})
 	})
-	pc.Run()
+	c.Run()
 	want := 1.0 + cfg.Net.Latency + 1.0 // egress + latency + ingress
 	if diff := arrived - want; diff < -1e-9 || diff > 1e-9 {
 		t.Fatalf("message arrived at %v, want ~%v", arrived, want)
 	}
-	if pc.Stats.Messages != 1 || pc.Stats.Bytes != bytes {
-		t.Fatalf("stats = %+v", pc.Stats)
+	if c.Stats.Messages != 1 || c.Stats.Bytes != bytes {
+		t.Fatalf("stats = %+v", c.Stats)
 	}
 }
 
 // TestParallelLoopback: same-node sends skip the NIC and deliver at the
 // current time on the local engine.
 func TestParallelLoopback(t *testing.T) {
-	pc, err := NewParallel(smallClusterCfg(1, core.Baseline), true)
+	cfg := smallClusterCfg(1, core.Baseline)
+	cfg.Parallel = true
+	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pc.Close()
+	defer c.Close()
 	var at sim.Time = -1
-	pc.Nodes[0].Eng.Schedule(2.5, func() {
-		pc.Send(0, 0, 1e9, func() { at = pc.Nodes[0].Eng.Now() })
+	c.Nodes[0].Eng.Schedule(2.5, func() {
+		c.Send(0, 0, 1e9, func() { at = c.Nodes[0].Eng.Now() })
 	})
-	pc.Run()
+	c.Run()
 	if at != 2.5 {
 		t.Fatalf("loopback delivered at %v, want 2.5", at)
 	}
-	if pc.Stats.Messages != 0 {
-		t.Fatalf("loopback counted as fabric traffic: %+v", pc.Stats)
+	if c.Stats.Messages != 0 {
+		t.Fatalf("loopback counted as fabric traffic: %+v", c.Stats)
 	}
 }
 
-// TestParallelNeedsPositiveLatency: zero lookahead admits no window.
+// TestParallelNeedsPositiveLatency: zero lookahead admits no window, so
+// New rejects it in either execution mode.
 func TestParallelNeedsPositiveLatency(t *testing.T) {
 	cfg := smallClusterCfg(2, core.Baseline)
 	cfg.Net.Latency = 0
-	if _, err := NewParallel(cfg, true); err == nil {
-		t.Fatal("zero-latency parallel cluster accepted")
+	if _, err := New(cfg); err == nil {
+		t.Fatal("zero-latency cluster accepted")
 	}
 }

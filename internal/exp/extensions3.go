@@ -29,6 +29,7 @@ type ClusterResult struct {
 }
 
 // RunCluster sweeps node counts with a constant per-node working set.
+// Windows run serially: the table is virtual time, identical either way.
 func RunCluster(s Scale) (*ClusterResult, error) {
 	res := &ClusterResult{Scale: s}
 	perNode := s.StencilConfig(s.StencilReducedSizes()[1])

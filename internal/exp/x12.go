@@ -15,7 +15,7 @@ import (
 // X12 benchmarks the engine hot path itself rather than a paper figure:
 // every number here is host wall-clock, not virtual time, so X12 is
 // deliberately excluded from the determinism suite and from hmrepro's
-// default figure list (it runs only under -engine / -bench-engine).
+// default figure list (it runs only under -only x12).
 //
 // Two legs:
 //
@@ -256,36 +256,37 @@ func x12ServeRun(s Scale, raw *X12EngineRow) (X12ServeLeg, error) {
 	return leg, nil
 }
 
-// x12ClusterRun executes the X8 stencil on a parallel cluster and
-// returns its signature, result and wall time.
-func x12ClusterRun(s Scale, nodes int, parallel bool) (string, *cluster.StencilResult, *cluster.PCluster, float64, error) {
+// x12ClusterRun executes the X8 stencil with serial or goroutine-parallel
+// windows and returns its signature, result and wall time.
+func x12ClusterRun(s Scale, nodes int, parallel bool) (string, *cluster.StencilResult, *cluster.Cluster, float64, error) {
 	perNode := s.StencilConfig(s.StencilReducedSizes()[1])
 	perNode.Iterations = 3
-	pc, err := cluster.NewParallel(cluster.Config{
-		Nodes:  nodes,
-		Spec:   s.Machine(),
-		NumPEs: s.NumPEs(),
-		Opts:   s.options(core.MultiIO),
-		Net:    cluster.DefaultNetwork(),
-	}, parallel)
+	c, err := cluster.New(cluster.Config{
+		Nodes:    nodes,
+		Spec:     s.Machine(),
+		NumPEs:   s.NumPEs(),
+		Opts:     s.options(core.MultiIO),
+		Net:      cluster.DefaultNetwork(),
+		Parallel: parallel,
+	})
 	if err != nil {
 		return "", nil, nil, 0, err
 	}
 	start := time.Now() //hmlint:ignore determinism X12 measures host wall-clock by design
-	res, err := cluster.RunStencilParallel(pc, cluster.StencilConfig{PerNode: perNode, Nodes: nodes})
+	res, err := cluster.RunStencil(c, cluster.StencilConfig{PerNode: perNode, Nodes: nodes})
 	wall := time.Since(start).Seconds() //hmlint:ignore determinism X12 measures host wall-clock by design
 	if err != nil {
-		pc.Close()
+		c.Close()
 		return "", nil, nil, 0, err
 	}
-	for i, nd := range pc.Nodes {
+	for i, nd := range c.Nodes {
 		nd.MG.Auditor().CheckQuiescent()
 		if aerr := nd.MG.Auditor().Err(); aerr != nil {
-			pc.Close()
+			c.Close()
 			return "", nil, nil, 0, fmt.Errorf("node %d: %w", i, aerr)
 		}
 	}
-	return pc.Signature(res), res, pc, wall, nil
+	return c.Signature(res), res, c, wall, nil
 }
 
 // RunX12 runs both legs at the given scale.
@@ -425,7 +426,7 @@ type X12ServeBench struct {
 	Windows       int64   `json:"windows"`
 }
 
-// X12Bench is the JSON snapshot written by hmrepro -bench-engine.
+// X12Bench is the JSON snapshot written by hmrepro -only x12 -bench.
 type X12Bench struct {
 	Scale             string              `json:"scale"`
 	Engine            []X12EngineBenchRow `json:"engine"`

@@ -260,7 +260,7 @@ type X14BenchRow struct {
 	DemotedDeep int64   `json:"demoted_deep_bytes"`
 }
 
-// X14Bench is the benchmark snapshot emitted by hmrepro -bench-tiers.
+// X14Bench is the benchmark snapshot emitted by hmrepro -only x14 -bench.
 type X14Bench struct {
 	Scale string        `json:"scale"`
 	Rows  []X14BenchRow `json:"rows"`

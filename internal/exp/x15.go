@@ -326,7 +326,7 @@ type X15BenchTune struct {
 	MemoHits      int     `json:"memo_hits"`
 }
 
-// X15Bench is the benchmark snapshot emitted by hmrepro -bench-tune.
+// X15Bench is the benchmark snapshot emitted by hmrepro -only x15 -bench.
 type X15Bench struct {
 	Scale  string          `json:"scale"`
 	Metric string          `json:"metric"`

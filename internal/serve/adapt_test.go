@@ -42,16 +42,18 @@ func TestAdaptiveSessionRuns(t *testing.T) {
 func TestWarmStartCarriesAcrossSessions(t *testing.T) {
 	s := mustScheduler(t, testConfig())
 	first := mustSubmit(t, s, adaptiveStencil("acme"))
+	// A finished session drops its controller; keep a handle to it.
+	firstCtl := first.ctl
 	if err := s.RunUntilIdle(0); err != nil {
 		t.Fatalf("RunUntilIdle: %v", err)
 	}
 	if first.State != Done {
 		t.Fatalf("first session finished %v (%s), want done", first.State, first.Err)
 	}
-	if first.ctl.WarmStarted() {
+	if firstCtl.WarmStarted() {
 		t.Fatalf("first session of a tenant must start cold")
 	}
-	if !first.ctl.Converged() {
+	if !firstCtl.Converged() {
 		t.Fatalf("first adaptive session did not converge; cannot test warm start")
 	}
 	if first.ten.warm == nil {
@@ -62,7 +64,8 @@ func TestWarmStartCarriesAcrossSessions(t *testing.T) {
 	if second.State != Running {
 		t.Fatalf("second session did not start: %v (%s)", second.State, second.Err)
 	}
-	if !second.ctl.WarmStarted() {
+	secondCtl := second.ctl
+	if !secondCtl.WarmStarted() {
 		t.Fatalf("second adaptive session of the tenant did not warm start")
 	}
 	if err := s.RunUntilIdle(0); err != nil {
@@ -71,10 +74,10 @@ func TestWarmStartCarriesAcrossSessions(t *testing.T) {
 	if second.State != Done {
 		t.Fatalf("second session finished %v (%s), want done", second.State, second.Err)
 	}
-	if !second.ctl.Converged() {
+	if !secondCtl.Converged() {
 		t.Fatalf("warm-started session did not settle")
 	}
-	cold, warm := first.ctl.SettledTime(), second.ctl.SettledTime()
+	cold, warm := firstCtl.SettledTime(), secondCtl.SettledTime()
 	if warm >= cold {
 		t.Fatalf("warm start settled at %v, cold at %v; want strictly earlier", warm, cold)
 	}

@@ -382,7 +382,10 @@ func (s *Scheduler) snapshotMetrics(sess *Session) {
 }
 
 // terminal moves a running (or just-started) session into a terminal
-// state: budget released, recorder finished, engine reaped.
+// state: budget released, recorder finished, engine reaped. The
+// session then drops its simulation, keeping only the metrics snapshot
+// and the finished capture, so the daemon's heap does not grow with
+// every session it has served.
 func (s *Scheduler) terminal(sess *Session, state State, reason string) {
 	sess.State = state
 	sess.Err = reason
@@ -390,11 +393,12 @@ func (s *Scheduler) terminal(sess *Session, state State, reason string) {
 	s.release(sess)
 	s.snapshotMetrics(sess)
 	if sess.rec != nil {
-		sess.rec.Finish()
+		sess.capture = sess.rec.Capture()
 	}
 	if sess.env != nil {
 		sess.env.Close()
 	}
+	sess.env, sess.app, sess.ctl, sess.rec = nil, nil, nil, nil
 }
 
 // fail marks a session Failed.

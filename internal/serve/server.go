@@ -328,7 +328,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	if sess.rec == nil {
+	if !sess.Spec.Trace {
 		s.mu.Unlock()
 		writeError(w, http.StatusNotFound, fmt.Errorf("serve: session %s was not submitted with trace", id))
 		return
@@ -338,7 +338,13 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, fmt.Errorf("serve: session %s still %s; trace downloads after finish", id, sess.State))
 		return
 	}
-	body := sess.TraceCapture().Bytes()
+	c := sess.TraceCapture()
+	if c == nil {
+		s.mu.Unlock()
+		writeError(w, http.StatusNotFound, fmt.Errorf("serve: session %s %s before it started; nothing was recorded", id, sess.State))
+		return
+	}
+	body := c.Bytes()
 	s.mu.Unlock()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Content-Disposition",

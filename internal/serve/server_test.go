@@ -150,6 +150,94 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 }
 
+// TestFinishedSessionDropsSimulation: the terminal transition releases
+// the session's engine, app, controller and recorder, yet the finished
+// session still serves its metrics and its capture.
+func TestFinishedSessionDropsSimulation(t *testing.T) {
+	srv, err := NewServer(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	spec := smallStencil("acme")
+	spec.Trace = true
+	spec.Adapt = true
+	code, sub := post(t, ts, spec)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit status = %d, want 202", code)
+	}
+	if err := srv.RunUntilIdle(0); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := srv.Scheduler().Session(sub.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sess.State != Done {
+		t.Fatalf("session finished %v (%s), want done", sess.State, sess.Err)
+	}
+	if sess.env != nil || sess.app != nil || sess.ctl != nil || sess.rec != nil {
+		t.Fatalf("finished session still holds its simulation: env %v app %v ctl %v rec %v",
+			sess.env != nil, sess.app != nil, sess.ctl != nil, sess.rec != nil)
+	}
+	code, raw := get(t, ts, "/v1/sessions/"+sub.ID+"/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("metrics = %d: %s", code, raw)
+	}
+	var mw metricsWire
+	if err := json.Unmarshal(raw, &mw); err != nil {
+		t.Fatalf("metrics do not decode: %v", err)
+	}
+	if mw.Metrics.TasksStaged+mw.Metrics.TasksInline == 0 {
+		t.Fatalf("metrics = %+v, want the completed tasks", mw)
+	}
+	code, raw = get(t, ts, "/v1/sessions/"+sub.ID+"/trace")
+	if code != http.StatusOK {
+		t.Fatalf("trace download = %d: %s", code, raw)
+	}
+	c, err := trace.Decode(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("capture does not decode: %v", err)
+	}
+	if c.Stats() == nil || c.Stats().Tasks == 0 {
+		t.Fatal("capture has no stats footer")
+	}
+}
+
+// TestTraceOfSessionCanceledWhileQueued: a traced session canceled
+// before it started recorded nothing, so its trace is not found.
+func TestTraceOfSessionCanceledWhileQueued(t *testing.T) {
+	cfg := testConfig()
+	cfg.Tenants = []TenantConfig{{Name: "acme", Budget: 256 * mb}}
+	srv, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	post(t, ts, smallStencil("acme")) // running: fills the budget
+	spec := smallStencil("acme")
+	spec.Trace = true
+	code, queued := post(t, ts, spec)
+	if code != http.StatusAccepted || queued.State != "queued" {
+		t.Fatalf("submit = %d %+v, want a queued session", code, queued)
+	}
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/sessions/"+queued.ID, nil)
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cancel = %d, want 200", resp.StatusCode)
+	}
+	if code, raw := get(t, ts, "/v1/sessions/"+queued.ID+"/trace"); code != http.StatusNotFound {
+		t.Fatalf("trace of a never-started session = %d, want 404: %s", code, raw)
+	}
+}
+
 func TestHTTPErrors(t *testing.T) {
 	cfg := testConfig()
 	cfg.Tenants = []TenantConfig{{Name: "acme", Budget: 256 * mb}}

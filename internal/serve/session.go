@@ -237,10 +237,16 @@ type Session struct {
 	// base is the global virtual time at which the session's private
 	// engine (whose clock starts at 0) was started.
 	base sim.Time
-	env  *kernels.Env
-	app  App
-	ctl  *adapt.Controller
-	rec  *trace.Recorder
+	// env, app, ctl and rec are the live simulation. The terminal
+	// transition drops them, so a finished session holds only its
+	// metrics snapshot and capture, not its engine.
+	env *kernels.Env
+	app App
+	ctl *adapt.Controller
+	rec *trace.Recorder
+	// capture is the finished recording of a traced session, kept
+	// after rec is dropped.
+	capture *trace.Capture
 
 	// released guards exactly-once budget release.
 	released bool
@@ -274,10 +280,10 @@ func (s *Session) MetricsSnapshot() (audit.Snapshot, bool) {
 }
 
 // TraceCapture returns the session's recorded capture, or nil if the
-// session was not submitted with Trace.
+// session was not submitted with Trace or never started.
 func (s *Session) TraceCapture() *trace.Capture {
-	if s.rec == nil {
-		return nil
+	if s.rec != nil {
+		return s.rec.Capture()
 	}
-	return s.rec.Capture()
+	return s.capture
 }
