@@ -16,8 +16,9 @@ import (
 // A goroutine with none of these has no way to tell anyone it
 // finished and nothing that terminates it: in a daemon that is a leak
 // per request, and in the parallel DES it desynchronises the barrier
-// protocol. Simulation-internal goroutines (internal/sim schedules
-// procs on virtual time) and test helpers are out of scope.
+// protocol. Simulation processes and test helpers are out of scope:
+// internal/sim runs its processes as iter.Pull coroutines, which
+// Engine.Close unwinds, and has no go statement of its own.
 var GoroLeak = &Analyzer{
 	Name: "goroleak",
 	Doc:  "require spawned goroutines to have reachable join/completion evidence (WaitGroup, channel, Cond)",

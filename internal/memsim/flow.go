@@ -3,6 +3,7 @@ package memsim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/hetmem/hetmem/internal/sim"
 )
@@ -38,17 +39,31 @@ func (d Demand) resources() [2]*resource {
 // the flow's single current rate.
 type Flow struct {
 	sys       *System
-	demands   []Demand
-	remaining float64 // bytes
+	class     *flowClass // nil for a flow that completed at start
+	remaining float64    // bytes
 	total     float64
-	cap       float64 // bytes/second; +Inf when uncapped
 	rate      float64 // current granted rate
-	frozen    bool    // allocator scratch
 	started   sim.Time
 	finished  sim.Time
 	done      bool
 	waiters   []*sim.Proc
 	onDone    func()
+}
+
+// flowClass groups the live flows that share a rate cap and an
+// identical demand list. Progressive filling treats every member alike
+// — each gets the same increment in a round and all freeze in the same
+// round — so the allocator runs over classes instead of flows.
+type flowClass struct {
+	demands []Demand
+	// res lists every demand's pools in demand order, built once. A
+	// pool drained by two demands (same-node read and write share the
+	// bus) appears twice, as it is charged twice.
+	res    []*resource
+	cap    float64 // bytes/second; +Inf when uncapped
+	n      int     // live member flows
+	rate   float64 // allocator scratch: the members' common rate
+	frozen bool    // allocator scratch
 }
 
 // FlowSpec describes a flow to start.
@@ -73,28 +88,26 @@ const byteEps = 1e-3 // bytes below which a flow counts as complete
 // StartFlow begins a flow and returns it. The caller can Wait on it or
 // rely on OnDone.
 func (s *System) StartFlow(spec FlowSpec) *Flow {
-	if spec.Bytes < 0 {
-		panic("memsim: negative flow size")
+	if !(spec.Bytes >= 0) || math.IsInf(spec.Bytes, 1) {
+		panic(fmt.Sprintf("memsim: flow size %v is not a finite non-negative byte count", spec.Bytes))
 	}
-	f := &Flow{
-		sys:       s,
-		demands:   append([]Demand(nil), spec.Demands...),
-		remaining: spec.Bytes,
-		total:     spec.Bytes,
-		cap:       spec.RateCap,
-		started:   s.e.Now(),
-		onDone:    spec.OnDone,
+	if math.IsNaN(spec.RateCap) {
+		panic("memsim: NaN flow rate cap")
 	}
-	if f.cap <= 0 {
-		f.cap = math.Inf(1)
-	}
-	if len(f.demands) == 0 {
+	if len(spec.Demands) == 0 {
 		panic("memsim: flow with no demands")
 	}
-	for _, d := range f.demands {
+	for _, d := range spec.Demands {
 		if d.Node == nil {
 			panic("memsim: flow demand with nil node")
 		}
+	}
+	f := &Flow{
+		sys:       s,
+		remaining: spec.Bytes,
+		total:     spec.Bytes,
+		started:   s.e.Now(),
+		onDone:    spec.OnDone,
 	}
 	if spec.Bytes <= byteEps {
 		// Trivially complete; fire OnDone asynchronously for
@@ -107,9 +120,45 @@ func (s *System) StartFlow(spec FlowSpec) *Flow {
 		return f
 	}
 	s.advance()
+	rateCap := spec.RateCap
+	if rateCap <= 0 {
+		rateCap = math.Inf(1)
+	}
+	f.class = s.join(spec.Demands, rateCap)
 	s.flows = append(s.flows, f)
 	s.reallocate()
 	return f
+}
+
+// join adds one member to the live class with the given cap and demand
+// list, creating the class on first use.
+func (s *System) join(demands []Demand, cap float64) *flowClass {
+	for _, c := range s.classes {
+		if c.cap == cap && slices.Equal(c.demands, demands) {
+			c.n++
+			return c
+		}
+	}
+	c := &flowClass{demands: append([]Demand(nil), demands...), cap: cap, n: 1}
+	for _, d := range c.demands {
+		r := d.resources()
+		c.res = append(c.res, r[0], r[1])
+	}
+	s.classes = append(s.classes, c)
+	return c
+}
+
+// leave drops one member from c, and c itself once it is empty, so the
+// class list tracks live signatures only. Class order carries no
+// meaning to the allocator.
+func (s *System) leave(c *flowClass) {
+	if c.n--; c.n > 0 {
+		return
+	}
+	i, last := slices.Index(s.classes, c), len(s.classes)-1
+	s.classes[i] = s.classes[last]
+	s.classes[last] = nil
+	s.classes = s.classes[:last]
 }
 
 // Wait parks p until the flow completes and returns its duration.
@@ -156,7 +205,7 @@ func (s *System) advance() {
 			moved += f.remaining
 			f.remaining = 0
 		}
-		for _, d := range f.demands {
+		for _, d := range f.class.demands {
 			if d.Access == Read {
 				d.Node.BytesRead += moved
 			} else {
@@ -168,9 +217,15 @@ func (s *System) advance() {
 }
 
 // reallocate recomputes max-min fair rates for all flows (progressive
-// filling), completes any finished flows, and schedules the next
-// completion event. Iteration is in flow start order, so the computation
-// is bit-for-bit deterministic.
+// filling over flow classes), completes any finished flows, and
+// schedules the next completion event.
+//
+// The result is bit-for-bit the per-flow filling loop's: members of a
+// class gain the same increment and freeze in the same round, a pool's
+// users are counted with multiplicity, and each member still charges
+// its pools with its own subtraction (every subtraction in a round is
+// the same increment, so their order cannot change the rounding). The
+// minimum over pools and classes does not depend on order either.
 func (s *System) reallocate() {
 	// Complete flows that have drained, preserving order of the rest.
 	live := s.flows[:0]
@@ -192,32 +247,26 @@ func (s *System) reallocate() {
 		return
 	}
 
-	// Gather the distinct resources in first-use order.
-	var resources []*resource
-	for _, f := range s.flows {
-		f.rate = 0
-		f.frozen = false
-		for _, d := range f.demands {
-			for _, r := range d.resources() {
-				if !r.seen {
-					r.seen = true
-					r.remCap = r.capacity
-					r.users = 0
-					resources = append(resources, r)
-				}
-				r.users++
+	// Gather the distinct pools the live classes drain.
+	resources := s.resources[:0]
+	for _, c := range s.classes {
+		c.rate = 0
+		c.frozen = false
+		for _, r := range c.res {
+			if !r.seen {
+				r.seen = true
+				r.remCap = r.capacity
+				r.users = 0
+				resources = append(resources, r)
 			}
+			r.users += c.n
 		}
 	}
-	defer func() {
-		for _, r := range resources {
-			r.seen = false
-		}
-	}()
+	s.resources = resources
 
-	// Progressive filling: raise all unfrozen flows' rates together
-	// until each hits its cap or saturates one of its resources.
-	unfrozen := len(s.flows)
+	// Progressive filling: raise all unfrozen classes' rates together
+	// until each hits its cap or saturates one of its pools.
+	unfrozen := len(s.classes)
 	for unfrozen > 0 {
 		inc := math.Inf(1)
 		for _, r := range resources {
@@ -227,9 +276,9 @@ func (s *System) reallocate() {
 				}
 			}
 		}
-		for _, f := range s.flows {
-			if !f.frozen {
-				if v := f.cap - f.rate; v < inc {
+		for _, c := range s.classes {
+			if !c.frozen {
+				if v := c.cap - c.rate; v < inc {
 					inc = v
 				}
 			}
@@ -237,42 +286,37 @@ func (s *System) reallocate() {
 		if inc < 0 {
 			inc = 0
 		}
-		for _, f := range s.flows {
-			if f.frozen {
+		for _, c := range s.classes {
+			if c.frozen {
 				continue
 			}
-			f.rate += inc
-			for _, d := range f.demands {
-				for _, r := range d.resources() {
+			c.rate += inc
+			for i := 0; i < c.n; i++ {
+				for _, r := range c.res {
 					r.remCap -= inc
 				}
 			}
 		}
 		progressed := false
-		for _, f := range s.flows {
-			if f.frozen {
+		for _, c := range s.classes {
+			if c.frozen {
 				continue
 			}
-			saturated := f.rate >= f.cap-1e-9*f.cap
+			saturated := c.rate >= c.cap-1e-9*c.cap
 			if !saturated {
-			scan:
-				for _, d := range f.demands {
-					for _, r := range d.resources() {
-						if r.remCap <= 1e-9*r.capacity {
-							saturated = true
-							break scan
-						}
+				for _, r := range c.res {
+					if r.remCap <= 1e-9*r.capacity {
+						saturated = true
+						break
 					}
 				}
 			}
 			if saturated {
-				f.frozen = true
+				c.frozen = true
 				unfrozen--
 				progressed = true
-				for _, d := range f.demands {
-					for _, r := range d.resources() {
-						r.users--
-					}
+				for _, r := range c.res {
+					r.users -= c.n
 				}
 			}
 		}
@@ -280,10 +324,14 @@ func (s *System) reallocate() {
 			panic("memsim: progressive filling failed to converge")
 		}
 	}
+	for _, r := range resources {
+		r.seen = false
+	}
 
 	// Schedule the next completion.
 	next := math.Inf(1)
 	for _, f := range s.flows {
+		f.rate = f.class.rate
 		if f.rate <= 0 {
 			panic(fmt.Sprintf("memsim: flow starved (rate 0, %g bytes left)", f.remaining))
 		}
@@ -291,14 +339,12 @@ func (s *System) reallocate() {
 			next = t
 		}
 	}
-	s.completion = s.e.After(next, func() {
-		s.advance()
-		s.reallocate()
-	})
+	s.completion = s.e.After(next, s.onCompletion)
 }
 
 // finish marks f complete and releases its waiters.
 func (s *System) finish(f *Flow) {
+	s.leave(f.class)
 	f.done = true
 	f.rate = 0
 	f.remaining = 0

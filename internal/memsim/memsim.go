@@ -179,9 +179,14 @@ type System struct {
 	e     *sim.Engine
 	nodes []*Node
 
-	flows      []*Flow // in start order; removal preserves order
+	flows      []*Flow      // in start order; removal preserves order
+	classes    []*flowClass // live flow classes, in no particular order
 	lastUpdate sim.Time
 	completion sim.EventHandle
+	// onCompletion is the completion event's callback and resources the
+	// allocator's pool list, both kept so reallocate allocates nothing.
+	onCompletion func()
+	resources    []*resource
 }
 
 // NewSystem builds a memory system on e from specs. Node IDs are the
@@ -189,6 +194,10 @@ type System struct {
 // node 0", HBM is "memory node 1" on flat-mode KNL).
 func NewSystem(e *sim.Engine, specs []NodeSpec) *System {
 	s := &System{e: e}
+	s.onCompletion = func() {
+		s.advance()
+		s.reallocate()
+	}
 	for i, sp := range specs {
 		if sp.Cap <= 0 || sp.ReadBW <= 0 || sp.WriteBW <= 0 {
 			panic(fmt.Sprintf("memsim: node %q must have positive capacity and bandwidth", sp.Name))

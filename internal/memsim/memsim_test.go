@@ -348,15 +348,35 @@ func TestDeterministicRates(t *testing.T) {
 	}
 }
 
+// Negative, NaN and infinite sizes, and a NaN rate cap, are rejected
+// at StartFlow. A NaN size compares false against a plain negativity
+// check, and either NaN would reach the allocator as a NaN completion
+// time.
 func TestNegativeFlowPanics(t *testing.T) {
-	e := sim.NewEngine(1)
-	s := testSystem(e)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative flow did not panic")
-		}
-	}()
-	s.StartFlow(FlowSpec{Bytes: -1, Demands: []Demand{{Node: s.Node(0), Access: Read}}})
+	for _, spec := range []struct {
+		name        string
+		bytes, rcap float64
+	}{
+		{"negative bytes", -1, 0},
+		{"NaN bytes", math.NaN(), 0},
+		{"+Inf bytes", math.Inf(1), 0},
+		{"-Inf bytes", math.Inf(-1), 0},
+		{"NaN cap", gb, math.NaN()},
+	} {
+		func() {
+			e := sim.NewEngine(1)
+			s := testSystem(e)
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: StartFlow did not panic", spec.name)
+				}
+				if n := s.ActiveFlows(); n != 0 {
+					t.Errorf("%s: %d active flows after a rejected start", spec.name, n)
+				}
+			}()
+			s.StartFlow(FlowSpec{Bytes: spec.bytes, RateCap: spec.rcap, Demands: []Demand{{Node: s.Node(0), Access: Read}}})
+		}()
+	}
 }
 
 func TestNoDemandsPanics(t *testing.T) {

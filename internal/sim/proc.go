@@ -3,20 +3,28 @@ package sim
 import "errors"
 
 // errKilled is the sentinel panic value used to unwind a process
-// goroutine when the engine is closed.
+// coroutine when the engine is closed.
 var errKilled = errors.New("sim: process killed")
 
 // Proc is a simulation process: a coroutine that runs in virtual time.
 // All Proc methods must be called from within the process's own body
 // function; the engine guarantees only one process runs at a time.
 type Proc struct {
-	e      *Engine
-	id     int
-	name   string
-	resume chan struct{}
-	done   bool
-	killed bool
-	waking bool // a wake event for this proc is pending
+	e    *Engine
+	id   int
+	name string
+	// next resumes the coroutine until it parks or exits; yield, called
+	// from inside it, hands control back to the engine.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	// grantFn and timerFn are the engine callbacks that resume this
+	// process (an immediate wake and a timer wake), built once at Spawn
+	// so parking allocates nothing.
+	grantFn func()
+	timerFn func()
+	done    bool
+	killed  bool
+	waking  bool // a wake event for this proc is pending
 }
 
 // Name returns the process name given at Spawn.
@@ -35,8 +43,7 @@ func (p *Proc) Now() Time { return p.e.now }
 // this process. Callers must have arranged for a wake (timer, queue
 // position, signal, ...) or the process sleeps forever.
 func (p *Proc) park() {
-	p.e.handoff <- struct{}{}
-	<-p.resume
+	p.yield(struct{}{})
 	if p.killed {
 		panic(errKilled)
 	}

@@ -9,22 +9,25 @@
 // (internal/memsim), the Charm-like runtime (internal/charm) and the
 // prefetch/evict strategies (internal/core) execute.
 //
-// Processes are real goroutines, but control is handed off one at a time
-// through channels: the engine resumes a process, the process runs until
-// it parks (Sleep, lock wait, condition wait, ...) and control returns to
-// the engine. No two processes ever run concurrently, so simulation state
-// needs no host-level locking.
+// Each process is an iter.Pull coroutine: the engine resumes a process
+// by calling its next function, the process runs until it parks (Sleep,
+// lock wait, condition wait, ...) by calling yield, and control returns
+// to the engine. A coroutine switch is a direct hand-off between two
+// goroutines with no scheduler round trip, and no two processes ever run
+// concurrently, so simulation state needs no host-level locking.
 //
 // The hot path is allocation-free at steady state: fired and cancelled
 // events return to a free list and are reused by later Schedule calls
 // (generation counters keep stale handles harmless), the event heap is
 // intrusive (each event knows its own heap slot, so Cancel removes it in
-// O(log n) instead of leaving a dead entry behind), and processes live in
-// a dense slice indexed by pid rather than a map.
+// O(log n) instead of leaving a dead entry behind), each process's wake
+// callbacks are built once at Spawn, and processes live in a dense slice
+// indexed by pid rather than a map.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"math/rand"
 	"sort"
@@ -160,8 +163,7 @@ type Engine struct {
 	seed    int64
 	seq     int64
 	events  eventHeap
-	free    []*event      // released event objects awaiting reuse
-	handoff chan struct{} // procs signal the engine here when they park or exit
+	free    []*event // released event objects awaiting reuse
 	current *Proc
 	procs   []*Proc // indexed by pid; nil once the process finishes
 	rng     *rand.Rand
@@ -182,9 +184,8 @@ type Engine struct {
 // random source seeded with seed.
 func NewEngine(seed int64) *Engine {
 	return &Engine{
-		handoff: make(chan struct{}),
-		seed:    seed,
-		rng:     rand.New(rand.NewSource(seed)),
+		seed: seed,
+		rng:  rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -207,10 +208,10 @@ func (e *Engine) EventStats() EventStats { return e.stats }
 func (e *Engine) PendingEvents() int { return len(e.events) }
 
 // Schedule registers fn to run at absolute virtual time t. Scheduling in
-// the past is an error and panics (it would break causality). The
-// returned handle can cancel the event before it fires.
+// the past, or at NaN, is an error and panics (it would break causality).
+// The returned handle can cancel the event before it fires.
 func (e *Engine) Schedule(t Time, fn func()) EventHandle {
-	if t < e.now {
+	if !(t >= e.now) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	var ev *event
@@ -278,15 +279,17 @@ func (h *EventHandle) Cancelled() bool { return h == nil || h.ev == nil || h.can
 // Spawn creates a process executing body and schedules it to start at the
 // current virtual time. The returned Proc is also passed to body.
 func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
-	p := &Proc{
-		e:      e,
-		id:     len(e.procs),
-		name:   name,
-		resume: make(chan struct{}),
+	p := &Proc{e: e, id: len(e.procs), name: name}
+	p.grantFn = func() { e.grant(p) }
+	p.timerFn = func() {
+		if p.done || p.waking {
+			return
+		}
+		p.waking = true
+		e.grant(p)
 	}
-	e.procs = append(e.procs, p)
-	e.nlive++
-	go func() {
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			p.done = true
 			e.nlive--
@@ -294,15 +297,15 @@ func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 			if r := recover(); r != nil && r != errKilled {
 				e.failure = procPanic{proc: p.name, value: r}
 			}
-			e.handoff <- struct{}{}
 		}()
-		<-p.resume // wait for the engine's first grant
 		if p.killed {
 			panic(errKilled)
 		}
 		body(p)
-	}()
-	e.Schedule(e.now, func() { e.grant(p) })
+	})
+	e.procs = append(e.procs, p)
+	e.nlive++
+	e.Schedule(e.now, p.grantFn)
 	return p
 }
 
@@ -326,8 +329,7 @@ func (e *Engine) grant(p *Proc) {
 	prev := e.current
 	e.current = p
 	p.waking = false
-	p.resume <- struct{}{}
-	<-e.handoff
+	p.next()
 	e.current = prev
 	if e.failure != nil {
 		f := e.failure.(procPanic)
@@ -344,18 +346,12 @@ func (e *Engine) wake(p *Proc) {
 		return
 	}
 	p.waking = true
-	e.Schedule(e.now, func() { e.grant(p) })
+	e.Schedule(e.now, p.grantFn)
 }
 
-// WakeAt schedules p to resume at absolute time t (used for timeouts).
+// wakeAt schedules p to resume at absolute time t (used for timeouts).
 func (e *Engine) wakeAt(t Time, p *Proc) EventHandle {
-	return e.Schedule(t, func() {
-		if p.done || p.waking {
-			return
-		}
-		p.waking = true
-		e.grant(p)
-	})
+	return e.Schedule(t, p.timerFn)
 }
 
 // SetQuiesceHook registers fn to run each time Run drains the event
@@ -455,7 +451,7 @@ func (e *Engine) BlockedProcNames() []string {
 	return names
 }
 
-// Close kills all still-parked processes so their goroutines exit. The
+// Close kills all still-parked processes so their coroutines unwind. The
 // engine must not be used afterwards. Victims die in id (spawn) order
 // so teardown is as deterministic as the run itself.
 func (e *Engine) Close() {
@@ -471,7 +467,6 @@ func (e *Engine) Close() {
 			return
 		}
 		victim.killed = true
-		victim.resume <- struct{}{}
-		<-e.handoff
+		victim.next()
 	}
 }

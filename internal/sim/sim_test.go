@@ -219,6 +219,9 @@ func TestProcPanicPropagates(t *testing.T) {
 		if r == nil {
 			t.Fatal("process panic did not propagate to Run")
 		}
+		if want := `sim: process "bomb" panicked: boom`; r != want {
+			t.Fatalf("panic = %v, want %q", r, want)
+		}
 	}()
 	e.RunAll()
 }
