@@ -44,6 +44,7 @@ FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz FuzzDecodeEvent -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz FuzzEncodeParity -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace/ -run '^$$' -fuzz FuzzDecodeMatchesReflect -fuzztime $(FUZZTIME)
 
 # staticcheck is optional locally (the build sandbox has no network to
 # install it); CI installs the pinned version, so the gate always runs

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -212,10 +213,38 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// MaxSubmitBytes bounds a submission body; a WorkloadSpec is a few
+// hundred bytes.
+const MaxSubmitBytes = 1 << 20
+
+// decodeSubmit reads one WorkloadSpec from body: at most MaxSubmitBytes,
+// no unknown fields (a misspelt knob must not silently run with its
+// default) and nothing after the object but whitespace.
+func decodeSubmit(body io.Reader) (WorkloadSpec, error) {
 	var spec WorkloadSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad submission body: %w", err))
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return spec, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("trailing data after the workload object")
+		}
+		return spec, err
+	}
+	return spec, nil
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, err := decodeSubmit(http.MaxBytesReader(w, r.Body, MaxSubmitBytes))
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, fmt.Errorf("serve: bad submission body: %w", err))
 		return
 	}
 	s.mu.Lock()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -410,5 +411,56 @@ func TestLoopDrivesSubmissions(t *testing.T) {
 				t.Fatalf("session %s stuck in %s", id, got.State)
 			}
 		}
+	}
+}
+
+func postRaw(t *testing.T, ts *httptest.Server, body string) (int, string) {
+	t.Helper()
+	resp, err := ts.Client().Post(ts.URL+"/v1/sessions", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(raw)
+}
+
+// TestSubmitBodyChecks: the submit body is bounded (413 past
+// MaxSubmitBytes), strict about field names (a misspelt knob is a 400,
+// not a silent default) and must hold exactly one object.
+func TestSubmitBodyChecks(t *testing.T) {
+	srv, err := NewServer(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	raw, err := json.Marshal(smallStencil("acme"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := string(raw)
+	for _, tc := range []struct {
+		name, body, wantErr string
+		want                int
+	}{
+		{"typo", strings.Replace(good, `"iterations"`, `"iteration"`, 1), `unknown field \"iteration\"`, http.StatusBadRequest},
+		{"second object", good + good, "trailing data", http.StatusBadRequest},
+		{"trailing garbage", good + " x", "invalid character", http.StatusBadRequest},
+		{"oversized", `{"tenant":"` + strings.Repeat("a", MaxSubmitBytes) + `"}`, "too large", http.StatusRequestEntityTooLarge},
+		{"oversized tail", good + strings.Repeat(" ", MaxSubmitBytes), "too large", http.StatusRequestEntityTooLarge},
+		{"trailing newline", good + "\n", "", http.StatusAccepted},
+	} {
+		code, body := postRaw(t, ts, tc.body)
+		if code != tc.want || !strings.Contains(body, tc.wantErr) {
+			t.Errorf("%s: status %d body %.200s, want %d containing %q", tc.name, code, body, tc.want, tc.wantErr)
+		}
+	}
+	if n := len(srv.Scheduler().Sessions()); n != 1 {
+		t.Fatalf("%d sessions submitted, want only the well-formed one", n)
 	}
 }

@@ -1,7 +1,7 @@
 package trace
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -22,7 +22,8 @@ import (
 //
 // The task layer is what makes the tool usable on near-miss captures:
 // the stream index tells you where the files part ways, the task
-// report tells you which unit of work first behaved differently.
+// report tells you which unit of work first behaved differently. It is
+// built only once the streams diverge. Diff only reads its captures.
 
 // DiffResult is the comparison outcome; render it with String.
 type DiffResult struct {
@@ -49,15 +50,17 @@ type DiffResult struct {
 // encodeLine renders one event exactly as it appears in the JSONL
 // capture (fast path or reflective, identical bytes either way).
 func encodeLine(e Event) string {
-	e.header().K = e.Kind()
-	if b, ok := appendEvent(nil, e); ok {
-		return string(b)
-	}
-	b, err := json.Marshal(e)
+	return string(appendDiffLine(nil, e))
+}
+
+// appendDiffLine appends e's capture line; an unencodable event renders
+// as a marker instead, so the comparison still names it.
+func appendDiffLine(b []byte, e Event) []byte {
+	out, err := appendLine(b, e)
 	if err != nil {
-		return fmt.Sprintf("<unencodable %s: %v>", e.Kind(), err)
+		return fmt.Appendf(b, "<unencodable %s: %v>", e.Kind(), err)
 	}
-	return string(b)
+	return out
 }
 
 // taskKinds is the per-task timeline order used by the task layer.
@@ -102,6 +105,17 @@ func taskIndex(c *Capture) map[int64]taskTimeline {
 	return idx
 }
 
+// countTasks returns the number of distinct task IDs in c.
+func countTasks(c *Capture) int {
+	seen := make(map[int64]struct{})
+	for _, e := range c.Events {
+		if id, ok := taskID(e); ok {
+			seen[id] = struct{}{}
+		}
+	}
+	return len(seen)
+}
+
 // diffTimelines returns the first divergent kind and both renderings,
 // ok=false when the timelines agree.
 func diffTimelines(a, b taskTimeline) (kind, la, lb string, ok bool) {
@@ -136,15 +150,17 @@ func Diff(a, b *Capture) *DiffResult {
 		FirstTaskID:  -1,
 	}
 
-	// Stream layer.
+	// Stream layer: one encoding of each event at a time, into two
+	// reused buffers.
 	n := len(a.Events)
 	if len(b.Events) < n {
 		n = len(b.Events)
 	}
+	var la, lb []byte
 	for i := 0; i < n; i++ {
-		la, lb := encodeLine(a.Events[i]), encodeLine(b.Events[i])
-		if la != lb {
-			r.DivergeIndex, r.DivergeA, r.DivergeB = i, la, lb
+		la, lb = appendDiffLine(la[:0], a.Events[i]), appendDiffLine(lb[:0], b.Events[i])
+		if !bytes.Equal(la, lb) {
+			r.DivergeIndex, r.DivergeA, r.DivergeB = i, string(la), string(lb)
 			break
 		}
 	}
@@ -156,6 +172,15 @@ func Diff(a, b *Capture) *DiffResult {
 		if n < len(b.Events) {
 			r.DivergeB = encodeLine(b.Events[n])
 		}
+	}
+	if r.DivergeIndex == -1 {
+		// A task timeline is a function of the stream, so identical
+		// streams have identical timelines: count the tasks, skip the
+		// per-task comparison.
+		n := countTasks(a)
+		r.TasksA, r.TasksB, r.TasksMatched = n, n, n
+		r.Identical = true
+		return r
 	}
 
 	// Task layer.

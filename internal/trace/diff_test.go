@@ -2,15 +2,16 @@ package trace
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
 // diffFixture builds a small capture with two tasks and some non-task
-// traffic.
+// traffic. Like any hand-built capture it leaves the K fields unset:
+// the encoders take the kind from Kind.
 func diffFixture() *Capture {
 	c := &Capture{}
 	add := func(e Event, t float64) {
-		e.header().K = e.Kind()
 		e.header().Seq = int64(len(c.Events))
 		e.header().T = t
 		c.Events = append(c.Events, e)
@@ -102,5 +103,43 @@ func TestDiffMissingTask(t *testing.T) {
 	}
 	if !strings.Contains(r.String(), "<missing>") {
 		t.Fatalf("report should mark the missing side:\n%s", r)
+	}
+}
+
+// TestDiffConcurrentSharedCaptures: Diff only reads its captures, so
+// diffs sharing them may run concurrently (the race detector checks
+// this under -race) and K fields left unset stay unset.
+func TestDiffConcurrentSharedCaptures(t *testing.T) {
+	a, b := diffFixture(), diffFixture()
+	b.Events[10].header().T = 0.65 // diverges, so the task layer runs too
+	want := []*DiffResult{Diff(a, a), Diff(a, b)}
+	got := make([]*DiffResult, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if i%2 == 0 {
+				got[i] = Diff(a, a)
+			} else {
+				got[i] = Diff(a, b)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, r := range got {
+		if *r != *want[i%2] {
+			t.Fatalf("concurrent diff %d = %+v, want %+v", i, r, want[i%2])
+		}
+	}
+	if !want[0].Identical || want[1].Identical {
+		t.Fatalf("identical %v / divergent %v, want true / false", want[0].Identical, want[1].Identical)
+	}
+	for _, c := range []*Capture{a, b} {
+		for _, e := range c.Events {
+			if e.header().K != "" {
+				t.Fatalf("Diff wrote K=%q into a %s event", e.header().K, e.Kind())
+			}
+		}
 	}
 }

@@ -19,14 +19,24 @@ import (
 // encode_fast_test.go pins the equivalence per kind and per float
 // regime.
 
-// appendSafeString appends s as a JSON string if no byte needs
-// escaping; ok=false tells the caller to fall back to json.Marshal.
-func appendSafeString(b []byte, s string) ([]byte, bool) {
+// safeString reports whether s encodes as a JSON string with no byte
+// escaped or replaced: printable ASCII other than the quote, the
+// backslash and encoding/json's HTML-escaped <, > and &.
+func safeString(s string) bool {
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		if c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			return b, false
+			return false
 		}
+	}
+	return true
+}
+
+// appendSafeString appends s as a JSON string if no byte needs
+// escaping; ok=false tells the caller to fall back to json.Marshal.
+func appendSafeString(b []byte, s string) ([]byte, bool) {
+	if !safeString(s) {
+		return b, false
 	}
 	b = append(b, '"')
 	b = append(b, s...)
@@ -64,13 +74,12 @@ func appendBool(b []byte, v bool) []byte {
 }
 
 // appendHeader emits `{"k":<kind>,"seq":N,"t":T` (no trailing comma).
-func appendHeader(b []byte, h *Ev) ([]byte, bool) {
-	ok := true
-	b = append(b, `{"k":`...)
-	if b, ok = appendSafeString(b, h.K); !ok {
-		return b, false
-	}
-	b = append(b, `,"seq":`...)
+// The kind comes from the event's Kind method, never from h.K, so an
+// event built without its K field set still encodes decodably.
+func appendHeader(b []byte, kind string, h *Ev) ([]byte, bool) {
+	b = append(b, `{"k":"`...)
+	b = append(b, kind...)
+	b = append(b, `","seq":`...)
 	b = strconv.AppendInt(b, h.Seq, 10)
 	b = append(b, `,"t":`...)
 	return appendJSONFloat(b, h.T)
@@ -85,7 +94,7 @@ func appendEvent(b []byte, e Event) ([]byte, bool) {
 	var ok bool
 	switch ev := e.(type) {
 	case *HandleDecl:
-		if b, ok = appendHeader(b, &ev.Ev); !ok {
+		if b, ok = appendHeader(b, ev.Kind(), &ev.Ev); !ok {
 			return b, false
 		}
 		b = append(b, `,"block":`...)
@@ -101,7 +110,7 @@ func appendEvent(b []byte, e Event) ([]byte, bool) {
 		return append(b, '}'), true
 
 	case *Send:
-		if b, ok = appendHeader(b, &ev.Ev); !ok {
+		if b, ok = appendHeader(b, ev.Kind(), &ev.Ev); !ok {
 			return b, false
 		}
 		b = append(b, `,"id":`...)
@@ -145,7 +154,7 @@ func appendEvent(b []byte, e Event) ([]byte, bool) {
 		return append(b, '}'), true
 
 	case *Admit:
-		if b, ok = appendHeader(b, &ev.Ev); !ok {
+		if b, ok = appendHeader(b, ev.Kind(), &ev.Ev); !ok {
 			return b, false
 		}
 		b = append(b, `,"id":`...)
@@ -159,7 +168,7 @@ func appendEvent(b []byte, e Event) ([]byte, bool) {
 		return append(b, '}'), true
 
 	case *RunStart:
-		if b, ok = appendHeader(b, &ev.Ev); !ok {
+		if b, ok = appendHeader(b, ev.Kind(), &ev.Ev); !ok {
 			return b, false
 		}
 		b = append(b, `,"id":`...)
@@ -169,7 +178,7 @@ func appendEvent(b []byte, e Event) ([]byte, bool) {
 		return append(b, '}'), true
 
 	case *RunEnd:
-		if b, ok = appendHeader(b, &ev.Ev); !ok {
+		if b, ok = appendHeader(b, ev.Kind(), &ev.Ev); !ok {
 			return b, false
 		}
 		b = append(b, `,"id":`...)
@@ -179,7 +188,7 @@ func appendEvent(b []byte, e Event) ([]byte, bool) {
 		return append(b, '}'), true
 
 	case *Kernel:
-		if b, ok = appendHeader(b, &ev.Ev); !ok {
+		if b, ok = appendHeader(b, ev.Kind(), &ev.Ev); !ok {
 			return b, false
 		}
 		b = append(b, `,"id":`...)
@@ -205,7 +214,7 @@ func appendEvent(b []byte, e Event) ([]byte, bool) {
 		return append(b, '}'), true
 
 	case *FetchStart:
-		if b, ok = appendHeader(b, &ev.Ev); !ok {
+		if b, ok = appendHeader(b, ev.Kind(), &ev.Ev); !ok {
 			return b, false
 		}
 		b = append(b, `,"lane":`...)
@@ -219,7 +228,7 @@ func appendEvent(b []byte, e Event) ([]byte, bool) {
 		return append(b, '}'), true
 
 	case *FetchEnd:
-		if b, ok = appendHeader(b, &ev.Ev); !ok {
+		if b, ok = appendHeader(b, ev.Kind(), &ev.Ev); !ok {
 			return b, false
 		}
 		b = append(b, `,"lane":`...)
@@ -243,7 +252,7 @@ func appendEvent(b []byte, e Event) ([]byte, bool) {
 		return append(b, '}'), true
 
 	case *Evict:
-		if b, ok = appendHeader(b, &ev.Ev); !ok {
+		if b, ok = appendHeader(b, ev.Kind(), &ev.Ev); !ok {
 			return b, false
 		}
 		b = append(b, `,"lane":`...)
@@ -275,7 +284,7 @@ func appendEvent(b []byte, e Event) ([]byte, bool) {
 		return append(b, '}'), true
 
 	case *Pressure:
-		if b, ok = appendHeader(b, &ev.Ev); !ok {
+		if b, ok = appendHeader(b, ev.Kind(), &ev.Ev); !ok {
 			return b, false
 		}
 		b = append(b, `,"pe":`...)
@@ -295,7 +304,7 @@ func appendEvent(b []byte, e Event) ([]byte, bool) {
 		return append(b, '}'), true
 
 	case *LaneAssign:
-		if b, ok = appendHeader(b, &ev.Ev); !ok {
+		if b, ok = appendHeader(b, ev.Kind(), &ev.Ev); !ok {
 			return b, false
 		}
 		b = append(b, `,"window":`...)
@@ -309,7 +318,7 @@ func appendEvent(b []byte, e Event) ([]byte, bool) {
 		return append(b, '}'), true
 
 	case *Adapt:
-		if b, ok = appendHeader(b, &ev.Ev); !ok {
+		if b, ok = appendHeader(b, ev.Kind(), &ev.Ev); !ok {
 			return b, false
 		}
 		b = append(b, `,"window":`...)
@@ -321,7 +330,7 @@ func appendEvent(b []byte, e Event) ([]byte, bool) {
 		return append(b, '}'), true
 
 	case *TaskDone:
-		if b, ok = appendHeader(b, &ev.Ev); !ok {
+		if b, ok = appendHeader(b, ev.Kind(), &ev.Ev); !ok {
 			return b, false
 		}
 		b = append(b, `,"id":`...)

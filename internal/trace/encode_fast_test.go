@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"testing"
@@ -17,10 +18,9 @@ var floatRegimes = []float64{
 	math.Copysign(0, -1), // negative zero renders as "-0"
 }
 
-// TestAppendEventMatchesJSON pins the hard requirement on the fast
-// encoder: for every hot event kind and every float regime, the bytes
-// must equal json.Marshal's exactly.
-func TestAppendEventMatchesJSON(t *testing.T) {
+// hotEvents returns events of every fast-path kind across every float
+// regime, with K set as a decoder sets it.
+func hotEvents() []Event {
 	var events []Event
 	for i, f := range floatRegimes {
 		hdr := Ev{Seq: int64(i), T: f}
@@ -45,6 +45,15 @@ func TestAppendEventMatchesJSON(t *testing.T) {
 	}
 	for _, e := range events {
 		e.header().K = e.Kind()
+	}
+	return events
+}
+
+// TestAppendEventMatchesJSON pins the hard requirement on the fast
+// encoder: for every hot event kind and every float regime, the bytes
+// must equal json.Marshal's exactly.
+func TestAppendEventMatchesJSON(t *testing.T) {
+	for _, e := range hotEvents() {
 		want, err := json.Marshal(e)
 		if err != nil {
 			t.Fatalf("json.Marshal(%T): %v", e, err)
@@ -99,5 +108,40 @@ func TestEncodeMixedFallback(t *testing.T) {
 	}
 	if got := c.Bytes(); string(got) != string(want) {
 		t.Fatalf("Encode mismatch:\n got: %s\nwant: %s", got, want)
+	}
+}
+
+// TestEncodeWithoutKind: a capture whose events never had K set
+// encodes with each event's Kind — through the fast appenders and the
+// reflective fallback alike — and decodes back, and Encode leaves the
+// events untouched.
+func TestEncodeWithoutKind(t *testing.T) {
+	c := &Capture{Events: []Event{
+		&Meta{Version: Version, NumPEs: 2, Seed: 1},
+		&HandleDecl{Block: "blk_0", Bytes: 64, Node: "HBM"},
+		&HandleDecl{Block: "needs<escape>", Bytes: 64, Node: "HBM"},
+		&Send{ID: 1, Arr: "a", Entry: "run", Deps: []Dep{{Block: "blk_0", Bytes: 64, Mode: "rw"}}},
+		&RunStart{ID: 1}, &RunEnd{ID: 1}, &TaskDone{ID: 1},
+		&Retune{Knobs: Knobs{Mode: "Multiple IO threads"}},
+		&Stats{Tasks: 1},
+	}}
+	enc := c.Bytes()
+	d, err := Decode(bytes.NewReader(enc))
+	if err != nil {
+		t.Fatalf("capture built without K does not decode: %v\n%s", err, enc)
+	}
+	if len(d.Events) != len(c.Events) {
+		t.Fatalf("decoded %d events, want %d", len(d.Events), len(c.Events))
+	}
+	for i, e := range c.Events {
+		if got := d.Events[i].Kind(); got != e.Kind() {
+			t.Errorf("event %d decoded as %s, want %s", i, got, e.Kind())
+		}
+		if e.header().K != "" {
+			t.Errorf("Encode wrote K=%q into a %s event", e.header().K, e.Kind())
+		}
+	}
+	if again := d.Bytes(); !bytes.Equal(again, enc) {
+		t.Fatalf("re-encoding the decoded capture changed it:\n%s\n%s", enc, again)
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"reflect"
 
 	"github.com/hetmem/hetmem/internal/charm"
 	"github.com/hetmem/hetmem/internal/core"
@@ -408,24 +409,46 @@ func (c *Capture) Stats() *Stats {
 // no wall clock. Hot event kinds go through the hand-rolled appenders
 // in encode_fast.go (byte-identical to json.Marshal, pinned by test);
 // rare kinds and escape-needing strings fall back to the reflective
-// encoder.
+// encoder. Encode only reads the events.
 func (c *Capture) Encode(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
-	var scratch []byte
+	var line []byte
 	for _, e := range c.Events {
-		if b, ok := appendEvent(scratch[:0], e); ok {
-			scratch = b[:0]
-			bw.Write(b)
-		} else {
-			b, err := json.Marshal(e)
-			if err != nil {
-				return fmt.Errorf("trace: encode %s event: %w", e.Kind(), err)
-			}
-			bw.Write(b)
+		var err error
+		if line, err = appendLine(line[:0], e); err != nil {
+			return fmt.Errorf("trace: encode %s event: %w", e.Kind(), err)
 		}
-		bw.WriteByte('\n')
+		line = append(line, '\n')
+		bw.Write(line)
 	}
 	return bw.Flush()
+}
+
+// appendLine appends e's capture line, without the newline: the fast
+// appender where it applies, else encoding/json.
+func appendLine(b []byte, e Event) ([]byte, error) {
+	if out, ok := appendEvent(b, e); ok {
+		return out, nil
+	}
+	j, err := marshalEvent(e)
+	if err != nil {
+		return b, err
+	}
+	return append(b, j...), nil
+}
+
+// marshalEvent is the reflective encoding of e. Like appendHeader it
+// takes "k" from Kind: an event whose K field disagrees is marshalled
+// through a shallow copy with K set, so the caller's event is never
+// written and concurrent encoders of one capture do not race.
+func marshalEvent(e Event) ([]byte, error) {
+	if e.header().K != e.Kind() {
+		cp := reflect.New(reflect.TypeOf(e).Elem())
+		cp.Elem().Set(reflect.ValueOf(e).Elem())
+		e = cp.Interface().(Event)
+		e.header().K = e.Kind()
+	}
+	return json.Marshal(e)
 }
 
 // Bytes returns the JSONL encoding.
@@ -445,16 +468,22 @@ func (c *Capture) WriteFile(path string) error {
 // Decode parses a JSONL capture. On a malformed or truncated line it
 // returns every event successfully parsed before the failure alongside
 // the error, so callers can recover the readable prefix of a damaged
-// capture.
+// capture. Canonical lines of the hot kinds take the fast path in
+// decode_fast.go; every other line is decoded reflectively.
 func Decode(r io.Reader) (*Capture, error) {
 	c := &Capture{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
+	fast := newFastDecoder()
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
+			continue
+		}
+		if e := fast.decode(line); e != nil {
+			c.Events = append(c.Events, e)
 			continue
 		}
 		var probe struct {
